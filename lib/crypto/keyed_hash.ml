@@ -200,6 +200,9 @@ module Fast = struct
     let k0, k1 = Siphash.key_words key in
     { pk = key; k0; k1 }
 
+  let mac56_short_p ~prep ~len ~w0 ~tail =
+    Int64.logand (Siphash.mac_short_k ~k0:prep.k0 ~k1:prep.k1 ~len ~w0 ~tail) mask56
+
   let mac56_precap ~key ~src ~dst ~ts = mac56_precap_p ~prep:(prepare key) ~src ~dst ~ts
 
   let mac56_cap ~key ~precap_ts ~precap_hash ~n_kb ~t_sec =

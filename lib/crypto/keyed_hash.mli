@@ -92,7 +92,15 @@ val cap_preimage : precap_ts:int -> precap_hash:int64 -> n_kb:int -> t_sec:int -
     ts (1) | pre-capability hash (7 bytes BE) | N (2 bytes, 10 used bits) |
     T (1 byte, 6 used bits). *)
 
-module Fast : S
+module Fast : sig
+  include S
+
+  val mac56_short_p : prep:prepared -> len:int -> w0:int64 -> tail:int64 -> int64
+  (** [mac56] of a [len]-byte message (8 to 15) already packed into the
+      two little-endian words {!Siphash.mac_short_k} takes, against a key
+      from {!prepare}.  The entry point for fixed short preimages other
+      than the two capability ones, such as NetFence's feedback token. *)
+end
 (** SipHash-2-4 based; the simulation default.  Its fixed-preimage entry
     points pack the fields into SipHash words directly and do not
     allocate. *)

@@ -2,79 +2,88 @@
    rounds.  All arithmetic is on Int64 with wraparound, which matches the
    reference implementation exactly.
 
-   Two entry points share the core: [mac] consumes an arbitrary string
-   message, and [mac_short] consumes a short message already packed into
-   little-endian words.  The short path exists for the router's per-packet
-   hashes (9- and 11-byte preimages): it is written as one straight-line
-   chain of immutable [let]-bindings so the native compiler keeps every
-   intermediate int64 unboxed in registers — no state record, no per-round
-   stores, no per-word list as the original word loader had. *)
+   Two entry points: [mac] consumes an arbitrary string message, and
+   [mac_short] consumes a short message already packed into little-endian
+   words.  The short path exists for the routers' per-packet hashes (9-,
+   10- and 11-byte preimages): it is written as one straight-line chain of
+   immutable [let]-bindings so the native compiler keeps every
+   intermediate int64 unboxed in registers.  Neither path keeps its state
+   in boxed [int64] values. *)
 
 let digest_size = 8
 
 let[@inline] rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
 
-let le64 s off =
-  (* Little-endian 64-bit load; a chain of ors rather than a fold over a
-     freshly built list, so loading a word allocates nothing. *)
-  let g i n = Int64.shift_left (Int64.of_int (Char.code s.[off + i])) n in
-  Int64.logor
-    (Int64.logor (Int64.logor (g 0 0) (g 1 8)) (Int64.logor (g 2 16) (g 3 24)))
-    (Int64.logor (Int64.logor (g 4 32) (g 5 40)) (Int64.logor (g 6 48) (g 7 56)))
+(* Little-endian 64-bit load: one machine load on every supported host. *)
+let[@inline] le64 s off = String.get_int64_le s off
 
-type state = { mutable v0 : int64; mutable v1 : int64; mutable v2 : int64; mutable v3 : int64 }
+(* The general path keeps the four state words in a per-call 32-byte
+   [Bytes] scratch rather than in a record of mutable [int64] fields or in
+   [int64] refs, both of which box on every store.  [Bytes] loads and
+   stores of [int64] are unboxed primitives, so a round is register
+   arithmetic between four loads and four stores, and a call allocates
+   only the scratch and its result.  The scratch is per call, never
+   module-level: [Pool] runs cells on several domains at once. *)
+let[@inline] sipround s =
+  let v0 = Bytes.get_int64_le s 0 and v1 = Bytes.get_int64_le s 8 in
+  let v2 = Bytes.get_int64_le s 16 and v3 = Bytes.get_int64_le s 24 in
+  let v0 = Int64.add v0 v1 in
+  let v1 = rotl v1 13 in
+  let v1 = Int64.logxor v1 v0 in
+  let v0 = rotl v0 32 in
+  let v2 = Int64.add v2 v3 in
+  let v3 = rotl v3 16 in
+  let v3 = Int64.logxor v3 v2 in
+  let v0 = Int64.add v0 v3 in
+  let v3 = rotl v3 21 in
+  let v3 = Int64.logxor v3 v0 in
+  let v2 = Int64.add v2 v1 in
+  let v1 = rotl v1 17 in
+  let v1 = Int64.logxor v1 v2 in
+  let v2 = rotl v2 32 in
+  Bytes.set_int64_le s 0 v0;
+  Bytes.set_int64_le s 8 v1;
+  Bytes.set_int64_le s 16 v2;
+  Bytes.set_int64_le s 24 v3
 
-let sipround s =
-  s.v0 <- Int64.add s.v0 s.v1;
-  s.v1 <- rotl s.v1 13;
-  s.v1 <- Int64.logxor s.v1 s.v0;
-  s.v0 <- rotl s.v0 32;
-  s.v2 <- Int64.add s.v2 s.v3;
-  s.v3 <- rotl s.v3 16;
-  s.v3 <- Int64.logxor s.v3 s.v2;
-  s.v0 <- Int64.add s.v0 s.v3;
-  s.v3 <- rotl s.v3 21;
-  s.v3 <- Int64.logxor s.v3 s.v0;
-  s.v2 <- Int64.add s.v2 s.v1;
-  s.v1 <- rotl s.v1 17;
-  s.v1 <- Int64.logxor s.v1 s.v2;
-  s.v2 <- rotl s.v2 32
+let[@inline] xor_word s off m = Bytes.set_int64_le s off (Int64.logxor (Bytes.get_int64_le s off) m)
 
-let mac ~key msg =
+let[@inline] compress s m =
+  xor_word s 24 m;
+  sipround s;
+  sipround s;
+  xor_word s 0 m
+
+let mac_bytes ~key msg =
   if String.length key <> 16 then invalid_arg "Siphash.mac: key must be 16 bytes";
   let k0 = le64 key 0 and k1 = le64 key 8 in
-  let s =
-    {
-      v0 = Int64.logxor k0 0x736f6d6570736575L;
-      v1 = Int64.logxor k1 0x646f72616e646f6dL;
-      v2 = Int64.logxor k0 0x6c7967656e657261L;
-      v3 = Int64.logxor k1 0x7465646279746573L;
-    }
-  in
-  let len = String.length msg in
+  let s = Bytes.create 32 in
+  Bytes.set_int64_le s 0 (Int64.logxor k0 0x736f6d6570736575L);
+  Bytes.set_int64_le s 8 (Int64.logxor k1 0x646f72616e646f6dL);
+  Bytes.set_int64_le s 16 (Int64.logxor k0 0x6c7967656e657261L);
+  Bytes.set_int64_le s 24 (Int64.logxor k1 0x7465646279746573L);
+  let len = Bytes.length msg in
   let full_words = len / 8 in
   for i = 0 to full_words - 1 do
-    let m = le64 msg (8 * i) in
-    s.v3 <- Int64.logxor s.v3 m;
-    sipround s;
-    sipround s;
-    s.v0 <- Int64.logxor s.v0 m
+    compress s (Bytes.get_int64_le msg (8 * i))
   done;
-  (* Last word: remaining bytes plus the message length in the top byte. *)
-  let b = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
-  for i = 0 to (len mod 8) - 1 do
-    b := Int64.logor !b (Int64.shift_left (Int64.of_int (Char.code msg.[(8 * full_words) + i])) (8 * i))
+  (* Last word: the remaining 0..7 bytes (at most 56 bits, so an [int])
+     plus the message length in the top byte. *)
+  let tail = ref 0 in
+  for i = (len mod 8) - 1 downto 0 do
+    tail := (!tail lsl 8) lor Char.code (Bytes.get msg ((8 * full_words) + i))
   done;
-  s.v3 <- Int64.logxor s.v3 !b;
-  sipround s;
-  sipround s;
-  s.v0 <- Int64.logxor s.v0 !b;
-  s.v2 <- Int64.logxor s.v2 0xffL;
+  compress s (Int64.logor (Int64.shift_left (Int64.of_int (len land 0xff)) 56) (Int64.of_int !tail));
+  xor_word s 16 0xffL;
   sipround s;
   sipround s;
   sipround s;
   sipround s;
-  Int64.logxor (Int64.logxor s.v0 s.v1) (Int64.logxor s.v2 s.v3)
+  Int64.logxor
+    (Int64.logxor (Bytes.get_int64_le s 0) (Bytes.get_int64_le s 8))
+    (Int64.logxor (Bytes.get_int64_le s 16) (Bytes.get_int64_le s 24))
+
+let mac ~key msg = mac_bytes ~key (Bytes.unsafe_of_string msg)
 
 (* The hot-path variant: a message of 8..15 bytes is exactly one full word
    [w0] plus a final word made of [tail] (the remaining [len - 8] bytes in
@@ -346,9 +355,9 @@ let mac_short_k2 ~k0 ~k1 ~len ~w0a ~taila ~w0b ~tailb =
   ( Int64.logxor (Int64.logxor a0 a1) (Int64.logxor a2 a3),
     Int64.logxor (Int64.logxor b0 b1) (Int64.logxor b2 b3) )
 
-(* Loading the key costs more than the rounds on this path (the [le64]
-   closure work dominates), so per-epoch callers preload (k0, k1) once via
-   [key_words] and call [mac_short_k] directly. *)
+(* Per-epoch callers preload (k0, k1) once via [key_words] and call
+   [mac_short_k] directly: the words are then boxed once per key rather
+   than on every call. *)
 let mac_short ~key ~len ~w0 ~tail =
   if String.length key <> 16 then invalid_arg "Siphash.mac_short: key must be 16 bytes";
   mac_short_k ~k0:(le64 key 0) ~k1:(le64 key 8) ~len ~w0 ~tail
@@ -358,9 +367,6 @@ let key_words key =
   (le64 key 0, le64 key 8)
 
 let mac_string ~key msg =
-  let v = mac ~key msg in
   let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done;
+  Bytes.set_int64_le b 0 (mac ~key msg);
   Bytes.unsafe_to_string b

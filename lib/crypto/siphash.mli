@@ -10,6 +10,11 @@ val mac : key:string -> string -> int64
 (** [mac ~key msg] is the 64-bit SipHash-2-4 tag of [msg].  Raises
     [Invalid_argument] if [key] is not 16 bytes. *)
 
+val mac_bytes : key:string -> Bytes.t -> int64
+(** [mac] over the current contents of a byte buffer, for callers that
+    keep a per-epoch preimage buffer and overwrite only its per-packet
+    bytes.  Allocates only a 32-byte state scratch and the result. *)
+
 val mac_string : key:string -> string -> string
 (** Same tag rendered as 8 little-endian bytes. *)
 
@@ -24,9 +29,9 @@ val mac_short : key:string -> len:int -> w0:int64 -> tail:int64 -> int64
 
 val mac_short_k : k0:int64 -> k1:int64 -> len:int -> w0:int64 -> tail:int64 -> int64
 (** {!mac_short} with the key already loaded into its two little-endian
-    words (see {!key_words}).  Loading the key is most of {!mac_short}'s
-    cost, so per-epoch callers hoist it and hit this entry point per
-    packet. *)
+    words (see {!key_words}).  Per-epoch callers load the key once and hit
+    this entry point per packet, so the key words are boxed once per key
+    rather than on every call. *)
 
 val mac_short_k2 :
   k0:int64 ->

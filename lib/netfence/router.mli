@@ -4,8 +4,9 @@
 
     - {b access router} for packets arriving over a link whose source node
       is an end host: it validates the congestion-feedback token the
-      sender presents, drives a per-(sender, bottleneck) AIMD rate limiter
-      from the feedback, and drops packets that exceed the policed rate —
+      sender presents, drives a per-sender AIMD rate limiter from the
+      feedback (the sender's one entry follows it from bottleneck to
+      bottleneck), and drops packets that exceed the policed rate —
       so a compromised sender converges to its fair share no matter how
       fast it transmits;
     - {b bottleneck router} on the forward path: it stamps every
@@ -17,11 +18,14 @@
     unpoliced but at strict low priority, so a legacy flood starves itself
     rather than the regular channel (the TVA demotion analogue).
 
-    Tokens are bound to the sender address and an 8-bit timestamp with a
-    MAC under [Crypto.Secret] epoch keys, exactly the machinery the TVA
-    router uses for pre-capabilities; all routers of a run share one
-    [secret_master], modeling NetFence's pairwise inter-AS key agreement
-    (DESIGN.md Sec. 16). *)
+    A token's MAC is the 56-bit SipHash tag ([Crypto.Keyed_hash.Fast.mac56])
+    of the 10-byte preimage src (4 B big-endian) | router id (4 B
+    big-endian) | ts (1 B) | action (1 B) under a [Crypto.Secret] epoch
+    key.  It is packed straight into SipHash words and hashed under a key
+    prepared once per epoch in a [Crypto.Keyed_hash.prep_cache]: exactly
+    the machinery the TVA router uses for pre-capabilities.  All routers
+    of a run share one [secret_master], modeling NetFence's pairwise
+    inter-AS key agreement (DESIGN.md Sec. 16). *)
 
 type t
 
@@ -58,7 +62,9 @@ val create :
   t
 (** A router for one node.  [link_bps] is the bottleneck rate the AIMD
     constants scale from; [secret_master] must be shared by every router
-    of the run for cross-router token validation. *)
+    of the run for cross-router token validation.  Raises
+    [Invalid_argument] if [router_id] does not fit the token preimage's
+    4-byte field (0 to 2{^32} − 1). *)
 
 val handler : t -> Net.handler
 (** The node handler: access-side policing for packets arriving from an
@@ -78,10 +84,11 @@ val mint : t -> now:float -> src:Wire.Addr.t -> Wire.Nf_feedback.action -> Wire.
 val validate : t -> now:float -> Wire.Nf_feedback.token -> src:Wire.Addr.t -> Wire.Nf_feedback.action option
 (** [Some action] iff the token's MAC verifies for sender [src] under the
     current-or-previous epoch secret and the token is still fresh
-    ([token_lifetime]); [None] for forged, stale, or re-bound tokens. *)
+    ([token_lifetime]); [None] for forged, stale, or re-bound tokens, and
+    for tokens whose router id or timestamp overflows its preimage field. *)
 
 val sender_count : t -> int
-(** Live (sender, bottleneck) policing entries. *)
+(** Live policing entries: one per sender. *)
 
 val sender_rates : t -> (Wire.Addr.t * float) list
 (** Current policed rate per tracked sender, sorted by address — the

@@ -1,27 +1,60 @@
 let default_rotation_period = 128.
 
+(* The marking preimage is [secret_master ^ "<router_id>|<epoch>|"]
+   followed by the packet's src and dst, 4 bytes big-endian each.  Only the
+   addresses change per packet, so the router keeps the prefix built in a
+   buffer with eight spare bytes for each of the two epochs [verify]
+   accepts, and a packet overwrites just those eight bytes.  The buffers
+   are router state: a router is only ever run by the domain that runs its
+   node. *)
+type slot = { epoch : int; buf : Bytes.t }
+
 type t = {
   rotation : float;
   secret_master : string;
   router_id : int;
   sim : Sim.t;
+  mutable cur : slot;
+  mutable prev : slot;
   mutable dropped_dta : int;
 }
 
+let no_slot = { epoch = min_int; buf = Bytes.empty }
+
 let create ?(rotation_period = default_rotation_period) ~secret_master ~router_id ~sim () =
-  { rotation = rotation_period; secret_master; router_id; sim; dropped_dta = 0 }
+  {
+    rotation = rotation_period;
+    secret_master;
+    router_id;
+    sim;
+    cur = no_slot;
+    prev = no_slot;
+    dropped_dta = 0;
+  }
 
 let rotation_period t = t.rotation
 let dropped_dta t = t.dropped_dta
 
 let epoch t ~now = int_of_float (floor (now /. t.rotation))
 
+(* Built on an epoch miss only; the older slot is evicted. *)
+let preimage t epoch =
+  if t.cur.epoch = epoch then t.cur.buf
+  else if t.prev.epoch = epoch then t.prev.buf
+  else begin
+    let prefix = Printf.sprintf "%s%d|%d|" t.secret_master t.router_id epoch in
+    let buf = Bytes.extend (Bytes.of_string prefix) 0 8 in
+    t.prev <- t.cur;
+    t.cur <- { epoch; buf };
+    buf
+  end
+
 let bits_for t ~epoch ~src ~dst =
-  let msg =
-    Printf.sprintf "%d|%d|%s%s" t.router_id epoch
-      (Wire.Addr.to_wire_string src) (Wire.Addr.to_wire_string dst)
-  in
-  Int64.to_int (Crypto.Siphash.mac ~key:"SIFF marking key" (t.secret_master ^ msg))
+  let buf = preimage t epoch in
+  let n = Bytes.length buf in
+  Bytes.set_int32_be buf (n - 8) (Int32.of_int (Wire.Addr.to_int src));
+  Bytes.set_int32_be buf (n - 4) (Int32.of_int (Wire.Addr.to_int dst));
+  Int64.to_int (Crypto.Siphash.mac_bytes ~key:"SIFF marking key" buf)
   land ((1 lsl Wire.Siff_marking.bits_per_router) - 1)
 
 let marking_bits t ~now ~src ~dst = bits_for t ~epoch:(epoch t ~now) ~src ~dst

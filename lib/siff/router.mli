@@ -32,6 +32,10 @@ val marking_bits : t -> now:float -> src:Wire.Addr.t -> dst:Wire.Addr.t -> int
 (** The marking this router would stamp right now (exposed for tests and
     the brute-force ablation). *)
 
+val verify : t -> now:float -> src:Wire.Addr.t -> dst:Wire.Addr.t -> bits:int -> bool
+(** Whether [bits] is this router's marking for the pair under the current
+    or the previous secret epoch — the check a DTA packet must pass. *)
+
 val handler : t -> Net.handler
 (** Stamps EXP packets, verifies DTA packets (dropping failures), forwards
     the rest. *)

@@ -23,7 +23,9 @@ type token = {
   nf_router : int;  (** id of the stamping (bottleneck) router *)
   nf_ts : int;  (** epoch timestamp, same 8-bit clock as [Crypto.Secret] *)
   nf_action : action;
-  nf_mac : int64;  (** keyed MAC over (src, router, ts, action) *)
+  nf_mac : int64;
+      (** 56-bit keyed MAC over the 10-byte preimage src (4 B BE) | router
+          (4 B BE) | ts (1 B) | action bit (1 B) *)
 }
 
 type t = {

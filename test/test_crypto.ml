@@ -122,6 +122,80 @@ let siphash_mac_short_matches_mac =
         (Crypto.Siphash.mac_short ~key ~len ~w0:!w0 ~tail:!tail)
         (Crypto.Siphash.mac ~key msg))
 
+(* The general [mac] before it moved its state into a byte scratch: a
+   record of mutable int64 fields, kept here as the reference the new
+   implementation must match digest for digest. *)
+module Record_siphash = struct
+  type state = { mutable v0 : int64; mutable v1 : int64; mutable v2 : int64; mutable v3 : int64 }
+
+  let rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
+
+  let le64 s off =
+    let w = ref 0L in
+    for i = 7 downto 0 do
+      w := Int64.logor (Int64.shift_left !w 8) (Int64.of_int (Char.code s.[off + i]))
+    done;
+    !w
+
+  let sipround s =
+    s.v0 <- Int64.add s.v0 s.v1;
+    s.v1 <- rotl s.v1 13;
+    s.v1 <- Int64.logxor s.v1 s.v0;
+    s.v0 <- rotl s.v0 32;
+    s.v2 <- Int64.add s.v2 s.v3;
+    s.v3 <- rotl s.v3 16;
+    s.v3 <- Int64.logxor s.v3 s.v2;
+    s.v0 <- Int64.add s.v0 s.v3;
+    s.v3 <- rotl s.v3 21;
+    s.v3 <- Int64.logxor s.v3 s.v0;
+    s.v2 <- Int64.add s.v2 s.v1;
+    s.v1 <- rotl s.v1 17;
+    s.v1 <- Int64.logxor s.v1 s.v2;
+    s.v2 <- rotl s.v2 32
+
+  let mac ~key msg =
+    let k0 = le64 key 0 and k1 = le64 key 8 in
+    let s =
+      {
+        v0 = Int64.logxor k0 0x736f6d6570736575L;
+        v1 = Int64.logxor k1 0x646f72616e646f6dL;
+        v2 = Int64.logxor k0 0x6c7967656e657261L;
+        v3 = Int64.logxor k1 0x7465646279746573L;
+      }
+    in
+    let len = String.length msg in
+    let full_words = len / 8 in
+    for i = 0 to full_words - 1 do
+      let m = le64 msg (8 * i) in
+      s.v3 <- Int64.logxor s.v3 m;
+      sipround s;
+      sipround s;
+      s.v0 <- Int64.logxor s.v0 m
+    done;
+    let b = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
+    for i = 0 to (len mod 8) - 1 do
+      b := Int64.logor !b (Int64.shift_left (Int64.of_int (Char.code msg.[(8 * full_words) + i])) (8 * i))
+    done;
+    s.v3 <- Int64.logxor s.v3 !b;
+    sipround s;
+    sipround s;
+    s.v0 <- Int64.logxor s.v0 !b;
+    s.v2 <- Int64.logxor s.v2 0xffL;
+    sipround s;
+    sipround s;
+    sipround s;
+    sipround s;
+    Int64.logxor (Int64.logxor s.v0 s.v1) (Int64.logxor s.v2 s.v3)
+end
+
+let siphash_mac_matches_record_reference =
+  QCheck.Test.make ~name:"siphash: mac = record-state reference on 0..200-byte messages"
+    ~count:1000
+    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size Gen.(int_range 0 200)))
+    (fun (key, msg) ->
+      Int64.equal (Crypto.Siphash.mac ~key msg) (Record_siphash.mac ~key msg)
+      && Int64.equal (Crypto.Siphash.mac_bytes ~key (Bytes.of_string msg)) (Record_siphash.mac ~key msg))
+
 (* --- HMAC-SHA1 (RFC 2202 vectors) ----------------------------------- *)
 
 let hmac_rfc2202_case1 () =
@@ -316,4 +390,5 @@ let suite =
     Alcotest.test_case "timestamp modulo 256" `Quick secret_timestamp_is_modulo_256;
     Alcotest.test_case "secret deterministic" `Quick secret_deterministic_from_master;
     Alcotest.test_case "secret epoch cache transparent" `Quick secret_epoch_cache_is_transparent;
+    QCheck_alcotest.to_alcotest siphash_mac_matches_record_reference;
   ]
