@@ -31,7 +31,7 @@
      - wheel events/s >= heap events/s at the largest count (best of
        [--reps]);
      - wheel peak live-heap <= [--mem-ratio] x heap peak live-heap at the
-       largest count (the tick-node freelist gate);
+       largest count (the wheel-memory gate);
      - K-domain in-loop events/s >= [--par-speedup-min] x sequential
        (multi-core hosts only);
      - wall clock and peak live-heap at the largest count stay inside
@@ -264,8 +264,8 @@ let () =
   if not mem_ok then
     fail "peak live-heap %.0f MB at %d senders (budget %g)" wheel_l.l_peak_heap_mb largest
       !mem_budget_mb;
-  (* Tick-node freelist gate: the wheel's peak live heap must stay within
-     [--mem-ratio] of the binary heap's at the same sweep point. *)
+  (* Wheel-memory gate: the wheel's peak live heap must stay within
+     [--mem-ratio] of the 4-ary heap's at the same sweep point. *)
   let wheel_heap_ratio =
     if heap_l.l_peak_heap_mb > 0. then wheel_l.l_peak_heap_mb /. heap_l.l_peak_heap_mb else 1.
   in

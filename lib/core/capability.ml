@@ -55,16 +55,14 @@ let validate2 ~precap_hash:(module P : Crypto.Keyed_hash.S)
   let ts = cap.Wire.Cap_shim.ts in
   if expired ~now ~ts ~t_sec then Expired
   else begin
-    match Crypto.Secret.validating_secret secret ~now ~ts with
-    | None -> Bad_hash
-    | Some key ->
-        let ph =
-          P.mac56_precap ~key ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts
-        in
-        let expect =
-          C.mac56_cap ~key:public_key ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec
-        in
-        if Int64.equal expect cap.Wire.Cap_shim.hash then Valid else Bad_hash
+    let key = Crypto.Secret.validating_secret secret ~now ~ts in
+    if key == Crypto.Secret.retired then Bad_hash
+    else
+      let ph =
+        P.mac56_precap ~key ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts
+      in
+      let expect = C.mac56_cap ~key:public_key ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
+      if Int64.equal expect cap.Wire.Cap_shim.hash then Valid else Bad_hash
   end
 
 let validate ~hash ~secret ~now ~src ~dst ~n_kb ~t_sec cap =
@@ -89,16 +87,16 @@ let validate_cached ~hash:(module H : Crypto.Keyed_hash.S) ~cache ~secret ~now ~
   let ts = cap.Wire.Cap_shim.ts in
   if expired ~now ~ts ~t_sec then Expired
   else begin
-    match Crypto.Secret.validating_secret secret ~now ~ts with
-    | None -> Bad_hash
-    | Some key ->
-        let prep = Crypto.Keyed_hash.prepared_of (module H) cache key in
-        let ph =
-          H.mac56_precap_p ~prep ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts
-        in
-        let pub = Crypto.Keyed_hash.prepared_of (module H) cache public_key in
-        let expect = H.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
-        if Int64.equal expect cap.Wire.Cap_shim.hash then Valid else Bad_hash
+    let key = Crypto.Secret.validating_secret secret ~now ~ts in
+    if key == Crypto.Secret.retired then Bad_hash
+    else
+      let prep = Crypto.Keyed_hash.prepared_of (module H) cache key in
+      let ph =
+        H.mac56_precap_p ~prep ~src:(Wire.Addr.to_int src) ~dst:(Wire.Addr.to_int dst) ~ts
+      in
+      let pub = Crypto.Keyed_hash.prepared_of (module H) cache public_key in
+      let expect = H.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
+      if Int64.equal expect cap.Wire.Cap_shim.hash then Valid else Bad_hash
   end
 
 let mint_precap2 ~precap_hash ~secret ~now ~src ~dst =

@@ -46,13 +46,13 @@ let issuing_secret t ~now = secret_of_epoch t (epoch ~now)
    (high bit 0) come from even epochs and 128..255 from odd ones. *)
 let epoch_parity e = e land 1
 
+let retired = ""
+
+(* Parity alternates every epoch, so when the current epoch does not match
+   the previous one does; only in epoch 0 is there no previous epoch.  The
+   result is a key or the shared [retired] sentinel, never an option: this
+   runs on every capability check. *)
 let validating_secret t ~now ~ts =
   let e_now = epoch ~now in
-  let high_bit = (ts lsr 7) land 1 in
-  if epoch_parity e_now = high_bit then Some (secret_of_epoch t e_now)
-  else if e_now > 0 && epoch_parity (e_now - 1) = high_bit then Some (secret_of_epoch t (e_now - 1))
-  else if e_now = 0 then None
-  else
-    (* Parity alternates every epoch, so one of current/previous always
-       matches; this branch is unreachable but kept total. *)
-    None
+  let e = if epoch_parity e_now = (ts lsr 7) land 1 then e_now else e_now - 1 in
+  if e < 0 then retired else secret_of_epoch t e

@@ -27,12 +27,19 @@ val timestamp : now:float -> int
 val issuing_secret : t -> now:float -> string
 (** The secret a router uses to mint a pre-capability at time [now]. *)
 
-val validating_secret : t -> now:float -> ts:int -> string option
+val retired : string
+(** The "no secret" sentinel {!validating_secret} returns, compared by
+    physical identity ([==]).  No epoch key equals it. *)
+
+val validating_secret : t -> now:float -> ts:int -> string
 (** [validating_secret t ~now ~ts] is the secret to check a capability whose
     embedded timestamp is [ts], given the validator's clock [now] — selected
-    by the high bit of [ts] as the paper describes.  [None] if the implied
-    epoch is neither current nor previous (the capability is too old: the
-    secret has been retired). *)
+    by the high bit of [ts] as the paper describes: the current epoch's
+    secret when the parities match, else the previous epoch's.  {!retired}
+    when the implied epoch precedes epoch 0.  A capability minted two or
+    more epochs ago maps to a newer secret than the one that minted it, so
+    it fails its hash check.  Allocates nothing once both epoch keys are
+    cached. *)
 
 val epoch : now:float -> int
 (** The rotation epoch index [floor (now / 128)]. *)

@@ -1,17 +1,25 @@
-(* Two interchangeable event queues behind one scheduler API.
+(* Two interchangeable event queues behind one scheduler API, over one
+   event slab.
 
-   The reference queue is a 4-ary min-heap of events keyed by (time, seq).
-   The sequence number breaks ties in scheduling order so that behaviour
-   never depends on heap internals.  Cancellation marks the event and lets
-   the queue pop it lazily, which keeps cancel O(1) — important for TCP
-   timers, nearly all of which are cancelled rather than fired.
+   Events live in a struct-of-arrays slab indexed by an int slot: the
+   action closure, the profiler kind tag and a generation counter per
+   slot, plus — for the wheel only — the (time, seq) key the wheel
+   re-files by and the link of the wheel-slot list the event sits in.
+   Free slots are threaded through the [kinds] array (a free slot has no
+   kind), so the slab needs no separate free stack.  Both queues hold
+   immediate slot indices, so no sift and no cascade stores a pointer (no
+   write barrier), and scheduling allocates no event record, no option
+   and no boxed time.
 
-   The heap keys live in parallel unboxed [times]/[seqs] arrays next to the
-   event array: a 4-ary heap halves the tree depth of the old binary heap,
-   and comparing cached keys avoids chasing an event pointer and unboxing
-   its float field on every comparison — together the hottest costs of the
-   event loop.  Sift-up/down move the hole rather than swapping, so each
-   level costs three array stores instead of nine.
+   The reference queue is a 4-ary min-heap keyed by (time, seq).  The
+   sequence number breaks ties in scheduling order so that behaviour
+   never depends on heap internals.  The keys live in parallel unboxed
+   [times]/[seqs] arrays next to the slot array: comparing cached keys
+   avoids chasing the slab on every comparison, and sift-up/down move the
+   hole rather than swapping.  Cancellation swaps the slot's action for
+   [nop] and lets the queue pop it lazily, which keeps cancel O(1) —
+   important for TCP timers, nearly all of which are cancelled rather
+   than fired.
 
    The second queue is a hierarchical timing wheel for runs whose pending
    set explodes (10^5-10^6 concurrent timers): 4 levels of 256 slots at
@@ -19,14 +27,20 @@
    O(log n).  Events whose integer tick has been reached are promoted into
    a small (time, seq) heap that resolves sub-tick time differences and
    same-time ties, which makes the wheel's firing order *identical* to the
-   reference heap's — the differential property test in the suite holds
-   the two together, and fig8 stays byte-identical under either queue. *)
+   reference heap's — the differential property tests in the suite hold
+   the two together, and fig8 stays byte-identical under either queue.
+
+   A handle is the slot index with the slot's generation above it.  The
+   generation moves on every time the slot is freed (fired, or popped
+   after a cancel), so a handle outliving its event — cancelled after it
+   fired, or after the slot was reused — no longer matches and cancelling
+   it is a no-op. *)
 
 (* Scheduling-site tags for the event-loop profiler.  A kind is carried by
-   every event (one immediate int; the record is heap-allocated anyway) and
-   only ever read when a probe is attached, so tagging costs nothing in
-   normal runs.  The flat enumeration lives here because the scheduler is
-   the one module every scheduling site already depends on. *)
+   every event (one immediate int in the slab) and only ever read when a
+   probe is attached, so tagging costs nothing in normal runs.  The flat
+   enumeration lives here because the scheduler is the one module every
+   scheduling site already depends on. *)
 module Kind = struct
   let other = 0
   let net_transmit = 1
@@ -52,15 +66,12 @@ module Kind = struct
     | _ -> "?"
 end
 
-type event = {
-  time : float;
-  seq : int;
-  kind : int; (* a [Kind] tag, read only by the profiler probe *)
-  mutable action : (unit -> unit) option;
-  live : int ref; (* the owning simulator's count of pending events *)
-}
+(* [(generation lsl gen_shift) lor slot]; generations wrap at 2^30. *)
+type handle = int
 
-type handle = event
+let gen_shift = 32
+let slot_mask = (1 lsl gen_shift) - 1
+let gen_mask = (1 lsl 30) - 1
 
 (* The profiler hook: [pr_clock] supplies wall time (injected so this
    module stays free of [Unix]), [pr_hit] is called after each fired
@@ -69,99 +80,108 @@ type probe = { pr_clock : unit -> float; pr_hit : kind:int -> dt:float -> unit }
 
 type sched = Heap | Wheel
 
-let dummy = { time = neg_infinity; seq = -1; kind = 0; action = None; live = ref 0 }
 let initial_capacity = 256
 
-(* --- The 4-ary (time, seq) heap ------------------------------------------ *)
+(* The action of a free or cancelled slot, compared by physical identity. *)
+let nop () = ()
+
+(* The end of a slot list: the free list, or a wheel slot's. *)
+let nil_slot = -1
+
+(* --- The 4-ary (time, seq) heap of slots ---------------------------------- *)
 
 type heap = {
-  mutable evs : event array;
-  mutable times : float array; (* cached evs.(i).time (unboxed) *)
-  mutable seqs : int array; (* cached evs.(i).seq *)
+  mutable slots : int array;
+  mutable times : float array; (* the key of slots.(i), unboxed *)
+  mutable seqs : int array;
   mutable size : int;
 }
 
 let heap_create capacity =
   {
-    evs = Array.make capacity dummy;
+    slots = Array.make capacity 0;
     times = Array.make capacity 0.;
     seqs = Array.make capacity 0;
     size = 0;
   }
 
 let heap_grow h =
-  let cap = 2 * Array.length h.evs in
-  let evs = Array.make cap dummy in
+  let cap = 2 * Array.length h.slots in
+  let slots = Array.make cap 0 in
   let times = Array.make cap 0. in
   let seqs = Array.make cap 0 in
-  Array.blit h.evs 0 evs 0 h.size;
+  Array.blit h.slots 0 slots 0 h.size;
   Array.blit h.times 0 times 0 h.size;
   Array.blit h.seqs 0 seqs 0 h.size;
-  h.evs <- evs;
+  h.slots <- slots;
   h.times <- times;
   h.seqs <- seqs
 
-(* Lexicographic (time, seq) against the cached keys at heap slot [j]. *)
+(* Lexicographic (time, seq) against the cached keys at heap position [j]. *)
 let[@inline] key_earlier h ~time ~seq j =
   time < h.times.(j) || (time = h.times.(j) && seq < h.seqs.(j))
 
-let[@inline] set_slot h i ev ~time ~seq =
-  h.evs.(i) <- ev;
+let[@inline] set_pos h i s ~time ~seq =
+  h.slots.(i) <- s;
   h.times.(i) <- time;
   h.seqs.(i) <- seq
 
-let heap_push h ev =
-  if h.size = Array.length h.evs then heap_grow h;
-  let time = ev.time and seq = ev.seq in
-  (* Sift up, moving the hole towards the root. *)
-  let i = ref h.size in
-  h.size <- h.size + 1;
+(* Sift the entry at position [i0] up, moving the hole towards the root.
+   Reads its key from the arrays, so no float crosses a call. *)
+let sift_up h i0 =
+  let s = h.slots.(i0) and time = h.times.(i0) and seq = h.seqs.(i0) in
+  let i = ref i0 in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 4 in
     if key_earlier h ~time ~seq parent then begin
-      set_slot h !i h.evs.(parent) ~time:h.times.(parent) ~seq:h.seqs.(parent);
+      set_pos h !i h.slots.(parent) ~time:h.times.(parent) ~seq:h.seqs.(parent);
       i := parent
     end
     else continue := false
   done;
-  set_slot h !i ev ~time ~seq
+  set_pos h !i s ~time ~seq
 
+let[@inline] heap_push h s ~time ~seq =
+  if h.size = Array.length h.slots then heap_grow h;
+  let i = h.size in
+  h.size <- i + 1;
+  set_pos h i s ~time ~seq;
+  sift_up h i
+
+(* Remove the root. *)
 let heap_pop h =
   assert (h.size > 0);
-  let top = h.evs.(0) in
   h.size <- h.size - 1;
-  let last = h.evs.(h.size) in
-  let time = h.times.(h.size) and seq = h.seqs.(h.size) in
-  h.evs.(h.size) <- dummy;
-  if h.size > 0 then begin
+  let n = h.size in
+  if n > 0 then begin
+    let s = h.slots.(n) and time = h.times.(n) and seq = h.seqs.(n) in
     (* Sift the hole down from the root, pulling the earliest of up to
-       four children up one level each step; [last] drops into the final
-       hole. *)
+       four children up one level each step; the last entry drops into the
+       final hole. *)
     let i = ref 0 in
     let continue = ref true in
     while !continue do
       let first = (4 * !i) + 1 in
-      if first >= h.size then continue := false
+      if first >= n then continue := false
       else begin
-        let stop = min (first + 4) h.size in
+        let stop = min (first + 4) n in
         let best = ref first in
         for c = first + 1 to stop - 1 do
           if key_earlier h ~time:h.times.(c) ~seq:h.seqs.(c) !best then best := c
         done;
-        (* [last] belongs above the earliest child: hole found. *)
+        (* The last entry belongs above the earliest child: hole found. *)
         if key_earlier h ~time ~seq !best then continue := false
         else begin
-          set_slot h !i h.evs.(!best) ~time:h.times.(!best) ~seq:h.seqs.(!best);
+          set_pos h !i h.slots.(!best) ~time:h.times.(!best) ~seq:h.seqs.(!best);
           i := !best
         end
       end
     done;
-    set_slot h !i last ~time ~seq
-  end;
-  top
+    set_pos h !i s ~time ~seq
+  end
 
-(* --- The hierarchical timing wheel ---------------------------------------- *)
+(* --- The hierarchical timing wheel: types --------------------------------- *)
 
 (* Integer ticks at 1 us resolution.  [int_of_float] truncates towards zero
    and times are nonnegative, so the mapping is a monotone floor: distinct
@@ -177,96 +197,116 @@ let slot_bits = 8
 let slots_per_level = 256 (* 1 lsl slot_bits *)
 let wheel_levels = 4 (* covers 2^32 us ~ 71.6 min beyond [cur_tick]; rest overflows *)
 
-(* A growable event vector — one per wheel slot, plus the overflow. *)
-type svec = { mutable sv : event array; mutable sn : int }
-
-let svec_create () = { sv = [||]; sn = 0 }
-
-(* Slot arrays are pooled in per-wheel size-classed free lists: without
-   this, each of the 1024 slots (and the overflow) retains its high-water
-   capacity forever, and at 10^5-10^6 pending events the sum of those
-   high-water marks dwarfs the live working set.  Cascading a slot returns
-   its array to the pool; the next slot that grows takes it back, so the
-   wheel's peak live heap tracks the peak pending set, not history.
-   Capacities are always 8 * 2^c (growth doubles from 8), so the class
-   index is exact. *)
-let pool_classes = 24
-
+(* Each wheel slot, and the overflow, is a singly linked list of event
+   slots threaded through the slab's [snext] array: filing is a push at
+   the head, a cascade walks the list once, and the wheel owns no storage
+   that grows with the pending set beyond one int per event.  Order
+   within a list is irrelevant — the promotion heap sorts what it
+   receives. *)
 type wheel = {
   mutable cur_tick : int;
       (* Every event with tick <= cur_tick has been promoted into [cur];
          every slot "before" cur_tick at every level is empty. *)
   cur : heap; (* promotion heap: exact (time, seq) order within reached ticks *)
-  levels : svec array array; (* [wheel_levels][slots_per_level] *)
+  heads : int array; (* list head of level l, slot j at [l * slots_per_level + j] *)
   level_count : int array; (* events held per level, to skip empty levels *)
-  overflow : svec; (* tick beyond all levels' span; reseeded when reached *)
+  mutable overflow : int; (* list of ticks beyond all levels' span; reseeded when reached *)
   mutable total : int; (* physical events anywhere in the structure *)
-  free : event array list array; (* pooled slot arrays, by size class *)
 }
+
+(* --- The simulator -------------------------------------------------------- *)
+
+type queue = Q_heap of heap | Q_wheel of wheel
+
+type t = {
+  queue : queue;
+  (* The event slab, indexed by slot. *)
+  mutable acts : (unit -> unit) array; (* [nop] when free or cancelled *)
+  mutable gens : int array;
+  mutable kinds : int array; (* the [Kind] tag; the next free slot when free *)
+  mutable stimes : float array; (* wheel only: the event's time *)
+  mutable sseqs : int array; (* wheel only: the event's seq *)
+  mutable snext : int array; (* wheel only: the next event in its wheel slot's list *)
+  mutable free_head : int; (* the first free slot, [nil_slot] when the slab is full *)
+  mutable clock : float;
+  mutable next_seq : int;
+  mutable aux_seq : int; (* negative, descending: auxiliary (telemetry) events *)
+  mutable live : int; (* scheduled and not cancelled *)
+  mutable stopping : bool;
+  mutable fired : int; (* actions executed since creation *)
+  mutable probe : probe option;
+  root_rng : Rng.t;
+}
+
+(* --- The slab -------------------------------------------------------------- *)
+
+(* Double the slab (a new simulator's is empty) and thread the new slots
+   onto the empty free list, lowest index first. *)
+let slab_grow t =
+  let cap = Array.length t.acts in
+  let ncap = max initial_capacity (2 * cap) in
+  let grow a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.acts <- grow t.acts nop;
+  t.gens <- grow t.gens 0;
+  t.kinds <- grow t.kinds 0;
+  (match t.queue with
+  | Q_heap _ -> ()
+  | Q_wheel _ ->
+      t.stimes <- grow t.stimes 0.;
+      t.sseqs <- grow t.sseqs 0;
+      t.snext <- grow t.snext nil_slot);
+  for s = ncap - 1 downto cap do
+    t.kinds.(s) <- t.free_head;
+    t.free_head <- s
+  done
+
+let[@inline] slab_alloc t kind action =
+  if t.free_head = nil_slot then slab_grow t;
+  let s = t.free_head in
+  t.free_head <- t.kinds.(s);
+  t.kinds.(s) <- kind;
+  t.acts.(s) <- action;
+  s
+
+(* Return a slot popped off a queue to the free list.  Bumping the
+   generation is what turns every outstanding handle to it stale. *)
+let[@inline] slab_free t s =
+  t.acts.(s) <- nop;
+  t.gens.(s) <- (t.gens.(s) + 1) land gen_mask;
+  t.kinds.(s) <- t.free_head;
+  t.free_head <- s
+
+(* --- The hierarchical timing wheel: operations ----------------------------- *)
 
 let wheel_create () =
   {
     cur_tick = 0;
     cur = heap_create initial_capacity;
-    levels = Array.init wheel_levels (fun _ -> Array.init slots_per_level (fun _ -> svec_create ()));
+    heads = Array.make (wheel_levels * slots_per_level) nil_slot;
     level_count = Array.make wheel_levels 0;
-    overflow = svec_create ();
+    overflow = nil_slot;
     total = 0;
-    free = Array.make pool_classes [];
   }
-
-(* capacity 8 * 2^c -> class c *)
-let[@inline] svec_class cap =
-  let c = ref 0 and x = ref 8 in
-  while !x < cap do
-    x := !x lsl 1;
-    incr c
-  done;
-  !c
-
-let svec_alloc w cap =
-  let c = svec_class cap in
-  if c < pool_classes then
-    match w.free.(c) with
-    | a :: rest ->
-        w.free.(c) <- rest;
-        a
-    | [] -> Array.make cap dummy
-  else Array.make cap dummy
-
-(* [a] must be all-[dummy] so pooled arrays never retain events. *)
-let svec_release w a =
-  let cap = Array.length a in
-  if cap > 0 then begin
-    let c = svec_class cap in
-    if c < pool_classes then w.free.(c) <- a :: w.free.(c)
-  end
-
-let wheel_push w v ev =
-  if v.sn = Array.length v.sv then begin
-    let cap = if v.sn = 0 then 8 else 2 * v.sn in
-    let a = svec_alloc w cap in
-    Array.blit v.sv 0 a 0 v.sn;
-    if v.sn > 0 then begin
-      Array.fill v.sv 0 v.sn dummy;
-      svec_release w v.sv
-    end;
-    v.sv <- a
-  end;
-  v.sv.(v.sn) <- ev;
-  v.sn <- v.sn + 1
 
 (* File an event by its tick, relative to [cur_tick].  Level l holds events
    whose tick agrees with cur_tick on all bits above 8*(l+1) — so a slot
    only ever contains ticks from the window the wheel is currently
    sweeping, and cascading a level-l slot re-files its events strictly
    below l (or straight into [cur]).  Does not touch [total]. *)
-let place w ev =
-  let tick = tick_of_time ev.time in
-  if tick <= w.cur_tick then heap_push w.cur ev
+let place t w s =
+  let time = t.stimes.(s) in
+  let tick = tick_of_time time in
+  if tick <= w.cur_tick then heap_push w.cur s ~time ~seq:t.sseqs.(s)
   else begin
     let diff = tick lxor w.cur_tick in
-    if diff lsr (slot_bits * wheel_levels) <> 0 then wheel_push w w.overflow ev
+    if diff lsr (slot_bits * wheel_levels) <> 0 then begin
+      t.snext.(s) <- w.overflow;
+      w.overflow <- s
+    end
     else begin
       let l =
         if diff lsr slot_bits = 0 then 0
@@ -274,105 +314,81 @@ let place w ev =
         else if diff lsr (3 * slot_bits) = 0 then 2
         else 3
       in
-      wheel_push w w.levels.(l).((tick lsr (slot_bits * l)) land (slots_per_level - 1)) ev;
+      let i = (l * slots_per_level) + ((tick lsr (slot_bits * l)) land (slots_per_level - 1)) in
+      t.snext.(s) <- w.heads.(i);
+      w.heads.(i) <- s;
       w.level_count.(l) <- w.level_count.(l) + 1
     end
   end
 
-let wheel_add w ev =
-  w.total <- w.total + 1;
-  place w ev
-
-(* Empty level-l slot j into the structure below it.  For l = 0 every
-   event lands in [cur] (a level-0 slot holds exactly one tick); higher
-   slots re-file at levels < l. *)
-let cascade w l j =
-  let v = w.levels.(l).(j) in
-  let n = v.sn in
-  w.level_count.(l) <- w.level_count.(l) - n;
-  v.sn <- 0;
-  (* Detach the slot's array before re-filing so [place] can never push
-     into it mid-iteration, then return it to the pool fully dummied. *)
-  let a = v.sv in
-  v.sv <- [||];
-  for i = 0 to n - 1 do
-    let ev = a.(i) in
-    a.(i) <- dummy;
-    place w ev
+(* Re-file every event of a list detached from the wheel and return how
+   many there were; a cancelled one is freed here instead of being carried
+   further down.  [place] overwrites [snext], so each link is read before
+   its event moves. *)
+let refile_list t w head =
+  let n = ref 0 and s = ref head in
+  while !s <> nil_slot do
+    let e = !s in
+    s := t.snext.(e);
+    incr n;
+    if t.acts.(e) == nop then begin
+      w.total <- w.total - 1;
+      slab_free t e
+    end
+    else place t w e
   done;
-  svec_release w a
+  !n
 
-(* Move [cur_tick] forward to the next occupied slot and promote it,
-   repeating until the promotion heap is nonempty (cascading a coarse slot
-   may land everything at a finer level first).  Caller guarantees there
-   is an event somewhere ([total > cur.size]). *)
-let advance w =
-  let rec go () =
-    let found = ref false in
-    let l = ref 0 in
-    while (not !found) && !l < wheel_levels do
-      if w.level_count.(!l) > 0 then begin
-        let lvl = w.levels.(!l) in
-        let shift = slot_bits * !l in
-        (* Slots at or before cur_tick's index are already empty (the
-           invariant above), so scan strictly beyond it. *)
-        let j = ref (((w.cur_tick lsr shift) land (slots_per_level - 1)) + 1) in
-        while (not !found) && !j < slots_per_level do
-          if lvl.(!j).sn > 0 then begin
-            let above = shift + slot_bits in
-            w.cur_tick <- ((w.cur_tick lsr above) lsl above) lor (!j lsl shift);
-            cascade w !l !j;
-            found := true
-          end
-          else incr j
-        done
-      end;
-      if not !found then incr l
+(* Move [cur_tick] forward to the next occupied slot and empty it into the
+   structure below it (a level-0 slot holds exactly one tick, so its
+   events all land in [cur]), repeating until the promotion heap is
+   nonempty or the wheel has run dry (cascades drop cancelled events, so a
+   cascade can empty it). *)
+let rec advance t w =
+  let found = ref false in
+  let l = ref 0 in
+  while (not !found) && !l < wheel_levels do
+    if w.level_count.(!l) > 0 then begin
+      let base = !l * slots_per_level in
+      let shift = slot_bits * !l in
+      (* Slots at or before cur_tick's index are already empty (the
+         invariant above), so scan strictly beyond it. *)
+      let j = ref (((w.cur_tick lsr shift) land (slots_per_level - 1)) + 1) in
+      while (not !found) && !j < slots_per_level do
+        let head = w.heads.(base + !j) in
+        if head <> nil_slot then begin
+          let above = shift + slot_bits in
+          w.cur_tick <- ((w.cur_tick lsr above) lsl above) lor (!j lsl shift);
+          w.heads.(base + !j) <- nil_slot;
+          (* Re-filing lands strictly below level l, so the count can be
+             taken off afterwards. *)
+          w.level_count.(!l) <- w.level_count.(!l) - refile_list t w head;
+          found := true
+        end
+        else incr j
+      done
+    end;
+    if not !found then incr l
+  done;
+  if (not !found) && w.overflow <> nil_slot then begin
+    (* Jump the wheel to the overflow's earliest tick and re-file; the
+       minimum lands in [cur] immediately, stragglers past the new span
+       simply overflow again. *)
+    let head = w.overflow in
+    w.overflow <- nil_slot;
+    let min_tick = ref max_int and s = ref head in
+    while !s <> nil_slot do
+      let tick = tick_of_time t.stimes.(!s) in
+      if tick < !min_tick then min_tick := tick;
+      s := t.snext.(!s)
     done;
-    if !found then begin
-      if w.cur.size = 0 then go ()
-    end
-    else if w.overflow.sn > 0 then begin
-      (* Jump the wheel to the overflow's earliest tick and re-file; the
-         minimum lands in [cur] immediately, stragglers past the new span
-         simply overflow again (into a fresh array — the old one is
-         detached first, then pooled). *)
-      let n = w.overflow.sn in
-      let a = w.overflow.sv in
-      let min_tick = ref max_int in
-      for i = 0 to n - 1 do
-        let tick = tick_of_time a.(i).time in
-        if tick < !min_tick then min_tick := tick
-      done;
-      w.overflow.sn <- 0;
-      w.overflow.sv <- [||];
-      w.cur_tick <- !min_tick;
-      for i = 0 to n - 1 do
-        let ev = a.(i) in
-        a.(i) <- dummy;
-        place w ev
-      done;
-      svec_release w a;
-      if w.cur.size = 0 then go ()
-    end
-  in
-  go ()
+    w.cur_tick <- !min_tick;
+    ignore (refile_list t w head);
+    found := true
+  end;
+  if !found && w.cur.size = 0 && w.total > 0 then advance t w
 
 (* --- The simulator --------------------------------------------------------- *)
-
-type queue = Q_heap of heap | Q_wheel of wheel
-
-type t = {
-  queue : queue;
-  mutable clock : float;
-  mutable next_seq : int;
-  mutable aux_seq : int; (* negative, descending: auxiliary (telemetry) events *)
-  live : int ref; (* scheduled and not cancelled *)
-  mutable stopping : bool;
-  mutable fired : int; (* actions executed since creation *)
-  mutable probe : probe option;
-  root_rng : Rng.t;
-}
 
 let create ?(seed = 1) ?(sched = Heap) () =
   {
@@ -380,10 +396,17 @@ let create ?(seed = 1) ?(sched = Heap) () =
       (match sched with
       | Heap -> Q_heap (heap_create initial_capacity)
       | Wheel -> Q_wheel (wheel_create ()));
+    acts = [||];
+    gens = [||];
+    kinds = [||];
+    stimes = [||];
+    sseqs = [||];
+    snext = [||];
+    free_head = nil_slot;
     clock = 0.;
     next_seq = 0;
     aux_seq = -1;
-    live = ref 0;
+    live = 0;
     stopping = false;
     fired = 0;
     probe = None;
@@ -406,23 +429,37 @@ let recommended_sched ~expected_pending = if expected_pending >= 8192 then Wheel
 
 let now t = t.clock
 let rng t = t.root_rng
-let pending t = !(t.live)
+let pending t = t.live
 let events_processed t = t.fired
 let set_probe t probe = t.probe <- probe
+
+(* Take a slot, file it under (time, seq) and return its handle.  Inlined
+   into each scheduling entry point so [time] is never boxed. *)
+let[@inline] insert t ~time ~seq ~kind action =
+  let s = slab_alloc t kind action in
+  (match t.queue with
+  | Q_heap h -> heap_push h s ~time ~seq
+  | Q_wheel w ->
+      t.stimes.(s) <- time;
+      t.sseqs.(s) <- seq;
+      w.total <- w.total + 1;
+      place t w s);
+  t.live <- t.live + 1;
+  (t.gens.(s) lsl gen_shift) lor s
 
 let schedule_at ?(kind = Kind.other) t ~time action =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.schedule_at: time %g is before now %g" time t.clock);
-  let ev = { time; seq = t.next_seq; kind; action = Some action; live = t.live } in
-  t.next_seq <- t.next_seq + 1;
-  (match t.queue with Q_heap h -> heap_push h ev | Q_wheel w -> wheel_add w ev);
-  incr t.live;
-  ev
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  insert t ~time ~seq ~kind action
 
-let schedule ?kind t ~delay action =
+let schedule ?(kind = Kind.other) t ~delay action =
   if delay < 0. then invalid_arg "Sim.schedule: negative delay";
-  schedule_at ?kind t ~time:(t.clock +. delay) action
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  insert t ~time:(t.clock +. delay) ~seq ~kind action
 
 (* Auxiliary events draw from a separate, negative, descending sequence
    counter, so scheduling one never consumes a [next_seq] value — a run
@@ -436,134 +473,115 @@ let schedule_aux ?(kind = Kind.telemetry) t ~time action =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.schedule_aux: time %g is before now %g" time t.clock);
-  let ev = { time; seq = t.aux_seq; kind; action = Some action; live = t.live } in
-  t.aux_seq <- t.aux_seq - 1;
-  (match t.queue with Q_heap h -> heap_push h ev | Q_wheel w -> wheel_add w ev);
-  incr t.live;
-  ev
+  let seq = t.aux_seq in
+  t.aux_seq <- seq - 1;
+  insert t ~time ~seq ~kind action
 
-let cancel ev =
-  match ev.action with
-  | None -> ()
-  | Some _ ->
-      ev.action <- None;
-      decr ev.live
+(* The slot's action while [h] still names a live event, else [nop]. *)
+let[@inline] live_action t h =
+  let s = h land slot_mask in
+  if s < Array.length t.gens && t.gens.(s) = h lsr gen_shift then t.acts.(s) else nop
 
-let cancelled ev = ev.action = None
+let cancel t h =
+  if live_action t h != nop then begin
+    (* The slot stays queued until popped; only then is it freed. *)
+    t.acts.(h land slot_mask) <- nop;
+    t.live <- t.live - 1
+  end
+
+let cancelled t h = live_action t h == nop
 
 let stop t = t.stopping <- true
 
-let[@inline] fire t ev action =
-  ev.action <- None;
-  decr t.live;
-  t.clock <- ev.time;
+(* The slot of the earliest uncancelled event, now at the top of its heap,
+   or [nil_slot] on an empty queue.  Cancelled events met on the way are
+   popped and freed.  For the wheel this may advance [cur_tick] — safe,
+   because late arrivals at or before a reached tick go straight to the
+   promotion heap. *)
+let peek t =
+  let s = ref nil_slot in
+  (match t.queue with
+  | Q_heap h ->
+      while !s = nil_slot && h.size > 0 do
+        let top = h.slots.(0) in
+        if t.acts.(top) == nop then begin
+          heap_pop h;
+          slab_free t top
+        end
+        else s := top
+      done
+  | Q_wheel w ->
+      while !s = nil_slot && w.total > 0 do
+        if w.cur.size = 0 then advance t w;
+        if w.cur.size = 0 then assert (w.total = 0)
+        else begin
+          let top = w.cur.slots.(0) in
+          if t.acts.(top) == nop then begin
+            w.total <- w.total - 1;
+            heap_pop w.cur;
+            slab_free t top
+          end
+          else s := top
+        end
+      done);
+  !s
+
+(* The time of the event [peek] just returned. *)
+let[@inline] top_time t =
+  match t.queue with Q_heap h -> h.times.(0) | Q_wheel w -> w.cur.times.(0)
+
+(* Pop the slot [peek] returned, advance the clock to its time, free the
+   slot (its handles go stale before the action runs) and run it. *)
+let[@inline] fire t s =
+  (match t.queue with
+  | Q_heap h ->
+      t.clock <- h.times.(0);
+      heap_pop h
+  | Q_wheel w ->
+      t.clock <- w.cur.times.(0);
+      w.total <- w.total - 1;
+      heap_pop w.cur);
+  let action = t.acts.(s) and kind = t.kinds.(s) in
+  slab_free t s;
+  t.live <- t.live - 1;
   t.fired <- t.fired + 1;
   match t.probe with
   | None -> action ()
   | Some pr ->
       let t0 = pr.pr_clock () in
       action ();
-      pr.pr_hit ~kind:ev.kind ~dt:(pr.pr_clock () -. t0)
-
-(* The earliest uncancelled event, discarded-in-place cancellations and
-   all, or [None] on an empty queue.  For the wheel this may advance
-   [cur_tick] — safe, because late arrivals at or before a reached tick
-   go straight to the promotion heap. *)
-let head_live t =
-  match t.queue with
-  | Q_heap h ->
-      let rec go () =
-        if h.size = 0 then None
-        else
-          let top = h.evs.(0) in
-          if top.action == None then begin
-            ignore (heap_pop h);
-            go ()
-          end
-          else Some top
-      in
-      go ()
-  | Q_wheel w ->
-      let rec go () =
-        if w.total = 0 then None
-        else begin
-          if w.cur.size = 0 then advance w;
-          let top = w.cur.evs.(0) in
-          if top.action == None then begin
-            w.total <- w.total - 1;
-            ignore (heap_pop w.cur);
-            go ()
-          end
-          else Some top
-        end
-      in
-      go ()
+      pr.pr_hit ~kind ~dt:(pr.pr_clock () -. t0)
 
 let step t =
-  match head_live t with
-  | None -> false
-  | Some ev ->
-      (match t.queue with
-      | Q_heap h -> ignore (heap_pop h)
-      | Q_wheel w ->
-          w.total <- w.total - 1;
-          ignore (heap_pop w.cur));
-      (match ev.action with
-      | Some action -> fire t ev action
-      | None -> assert false);
-      true
+  let s = peek t in
+  if s = nil_slot then false
+  else begin
+    fire t s;
+    true
+  end
+
+(* Fire events up to [upto] — strictly before it, or at it too when
+   [inclusive] — leaving the clock at [upto] when later events remain. *)
+let run_upto t ~inclusive ~upto =
+  t.stopping <- false;
+  let continue = ref true in
+  while !continue && not t.stopping do
+    let s = peek t in
+    if s = nil_slot then continue := false
+    else begin
+      let time = top_time t in
+      if (if inclusive then time > upto else time >= upto) then begin
+        t.clock <- upto;
+        continue := false
+      end
+      else fire t s
+    end
+  done
 
 let run ?until t =
-  t.stopping <- false;
-  let horizon = match until with Some h -> h | None -> infinity in
-  match t.queue with
-  | Q_heap h ->
-      (* The specialised loop keeps the reference queue exactly as fast as
-         before the wheel existed: peek the root, pop, fire. *)
-      let rec loop () =
-        if t.stopping then ()
-        else if h.size = 0 then ()
-        else begin
-          let top = h.evs.(0) in
-          match top.action with
-          | None ->
-              ignore (heap_pop h);
-              loop ()
-          | Some action ->
-              if h.times.(0) > horizon then t.clock <- horizon
-              else begin
-                ignore (heap_pop h);
-                fire t top action;
-                loop ()
-              end
-        end
-      in
-      loop ()
-  | Q_wheel w ->
-      let rec loop () =
-        if t.stopping then ()
-        else if w.total = 0 then ()
-        else begin
-          if w.cur.size = 0 then advance w;
-          let top = w.cur.evs.(0) in
-          match top.action with
-          | None ->
-              w.total <- w.total - 1;
-              ignore (heap_pop w.cur);
-              loop ()
-          | Some action ->
-              if top.time > horizon then t.clock <- horizon
-              else begin
-                w.total <- w.total - 1;
-                ignore (heap_pop w.cur);
-                fire t top action;
-                loop ()
-              end
-        end
-      in
-      loop ()
+  run_upto t ~inclusive:true ~upto:(match until with Some h -> h | None -> infinity)
 
-let next_time t = match head_live t with Some ev -> ev.time | None -> infinity
+let next_time t = if peek t = nil_slot then infinity else top_time t
 
 (* One conservative-PDES window: fire events strictly before [upto]
    (or at [upto] too when [inclusive]), then leave the clock at [upto]
@@ -571,50 +589,4 @@ let next_time t = match head_live t with Some ev -> ev.time | None -> infinity
    the exclusive bound that windowed execution needs (an event AT the
    window edge may race a cross-partition arrival AT the same instant, so
    it belongs to the next window, after the mailbox exchange). *)
-let run_window ?(inclusive = false) t ~upto =
-  t.stopping <- false;
-  match t.queue with
-  | Q_heap h ->
-      let rec loop () =
-        if t.stopping then ()
-        else if h.size = 0 then ()
-        else begin
-          let top = h.evs.(0) in
-          match top.action with
-          | None ->
-              ignore (heap_pop h);
-              loop ()
-          | Some action ->
-              let tm = h.times.(0) in
-              if (if inclusive then tm > upto else tm >= upto) then t.clock <- upto
-              else begin
-                ignore (heap_pop h);
-                fire t top action;
-                loop ()
-              end
-        end
-      in
-      loop ()
-  | Q_wheel w ->
-      let rec loop () =
-        if t.stopping then ()
-        else if w.total = 0 then ()
-        else begin
-          if w.cur.size = 0 then advance w;
-          let top = w.cur.evs.(0) in
-          match top.action with
-          | None ->
-              w.total <- w.total - 1;
-              ignore (heap_pop w.cur);
-              loop ()
-          | Some action ->
-              if (if inclusive then top.time > upto else top.time >= upto) then t.clock <- upto
-              else begin
-                w.total <- w.total - 1;
-                ignore (heap_pop w.cur);
-                fire t top action;
-                loop ()
-              end
-        end
-      in
-      loop ()
+let run_window ?(inclusive = false) t ~upto = run_upto t ~inclusive ~upto

@@ -9,7 +9,9 @@
     {e identical} order (differential-tested): the reference 4-ary heap,
     and a hierarchical timing wheel for runs with very large pending sets
     (hundreds of thousands of concurrent timers), where O(1) insert beats
-    the heap's O(log n) sift. *)
+    the heap's O(log n) sift.  Both keep their events in one slab of
+    parallel arrays and queue int slot indices, so scheduling an event
+    allocates no event record. *)
 
 type t
 
@@ -32,8 +34,15 @@ val recommended_sched : expected_pending:int -> sched
     pending-event count is large enough (>= 8192) that heap sifts dominate,
     [Heap] otherwise. *)
 
-type handle
-(** A scheduled event, usable for cancellation (e.g. retransmit timers). *)
+type handle = private int
+(** A scheduled event, usable for cancellation (e.g. retransmit timers):
+    an immediate int naming the event's slot in the simulator's event slab
+    and that slot's generation.  The generation moves on whenever the slot
+    is freed (the event fired, or was popped after a cancel), so a handle
+    that outlives its event is stale: {!cancel} ignores it and
+    {!cancelled} holds, even after the slot has been reused for another
+    event.  A handle means nothing to any simulator but the one that
+    issued it. *)
 
 (** Scheduling-site tags carried by every event, read only by an attached
     {!probe}.  Sites that matter to the event-loop profiler (link
@@ -100,10 +109,13 @@ val schedule_aux : ?kind:int -> t -> time:float -> (unit -> unit) -> handle
     the barrier pulses of partitioned runs.  [kind] defaults to
     {!Kind.telemetry}.  The callback must not mutate simulation state. *)
 
-val cancel : handle -> unit
-(** Cancelling an already-fired or cancelled event is a no-op. *)
+val cancel : t -> handle -> unit
+(** Cancel a pending event in O(1); its slot is freed when the queue
+    reaches it.  Cancelling an already-fired or cancelled event — a stale
+    handle — is a no-op. *)
 
-val cancelled : handle -> bool
+val cancelled : t -> handle -> bool
+(** [true] once the event has been cancelled or has fired. *)
 
 val run : ?until:float -> t -> unit
 (** Process events until the heap is empty or virtual time would exceed

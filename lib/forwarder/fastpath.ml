@@ -184,35 +184,36 @@ let validate_batch t n =
     let ts = cap.Wire.Cap_shim.ts in
     if Tva.Capability.expired ~now:t.now ~ts ~t_sec:t.t_sec then 0
     else begin
-      match Crypto.Secret.validating_secret t.secret ~now:t.now ~ts with
-      | None -> 0
-      | Some key ->
-          let module P = (val t.precap_hash : Crypto.Keyed_hash.S) in
-          let module C = (val t.cap_hash : Crypto.Keyed_hash.S) in
-          let prep = P.prepare key in
-          let pub = C.prepare Tva.Capability.public_key in
-          let src = Wire.Addr.to_int t.src and dst = Wire.Addr.to_int t.dst in
-          let n_kb = t.n_kb and t_sec = t.t_sec in
-          let expect = cap.Wire.Cap_shim.hash in
-          let valid = ref 0 in
-          for _ = 1 to n / 2 do
-            let ph_a, ph_b =
-              P.mac56_precap_p2 ~prep ~src_a:src ~dst_a:dst ~ts_a:ts ~src_b:src ~dst_b:dst
-                ~ts_b:ts
-            in
-            let ca, cb =
-              C.mac56_cap_p2 ~prep:pub ~precap_ts_a:ts ~precap_hash_a:ph_a ~n_kb_a:n_kb
-                ~t_sec_a:t_sec ~precap_ts_b:ts ~precap_hash_b:ph_b ~n_kb_b:n_kb ~t_sec_b:t_sec
-            in
-            if Int64.equal ca expect then incr valid;
-            if Int64.equal cb expect then incr valid
-          done;
-          if n land 1 = 1 then begin
-            let ph = P.mac56_precap_p ~prep ~src ~dst ~ts in
-            let c = C.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
-            if Int64.equal c expect then incr valid
-          end;
-          !valid
+      let key = Crypto.Secret.validating_secret t.secret ~now:t.now ~ts in
+      if key == Crypto.Secret.retired then 0
+      else begin
+        let module P = (val t.precap_hash : Crypto.Keyed_hash.S) in
+        let module C = (val t.cap_hash : Crypto.Keyed_hash.S) in
+        let prep = P.prepare key in
+        let pub = C.prepare Tva.Capability.public_key in
+        let src = Wire.Addr.to_int t.src and dst = Wire.Addr.to_int t.dst in
+        let n_kb = t.n_kb and t_sec = t.t_sec in
+        let expect = cap.Wire.Cap_shim.hash in
+        let valid = ref 0 in
+        for _ = 1 to n / 2 do
+          let ph_a, ph_b =
+            P.mac56_precap_p2 ~prep ~src_a:src ~dst_a:dst ~ts_a:ts ~src_b:src ~dst_b:dst
+              ~ts_b:ts
+          in
+          let ca, cb =
+            C.mac56_cap_p2 ~prep:pub ~precap_ts_a:ts ~precap_hash_a:ph_a ~n_kb_a:n_kb
+              ~t_sec_a:t_sec ~precap_ts_b:ts ~precap_hash_b:ph_b ~n_kb_b:n_kb ~t_sec_b:t_sec
+          in
+          if Int64.equal ca expect then incr valid;
+          if Int64.equal cb expect then incr valid
+        done;
+        if n land 1 = 1 then begin
+          let ph = P.mac56_precap_p ~prep ~src ~dst ~ts in
+          let c = C.mac56_cap_p ~prep:pub ~precap_ts:ts ~precap_hash:ph ~n_kb ~t_sec in
+          if Int64.equal c expect then incr valid
+        end;
+        !valid
+      end
     end
   end
 

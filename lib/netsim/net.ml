@@ -47,6 +47,15 @@ and link = {
          and the exchange injects them into the destination partition at
          the next window barrier *)
   mutable busy : bool;
+  mutable tx_pkt : Wire.Packet.t; (* the packet being serialized; [Pktring.nil] when none *)
+  in_flight : Pktring.t;
+      (* packets propagating on a same-partition link, in arrival order:
+         the link has one constant delay and its transmit completions never
+         go back in time, so arrivals fire in the order they were pushed *)
+  (* Built once, right after the link (each refers back to it): *)
+  mutable in_self : link option; (* [Some] this link: every delivery's [~in_link] *)
+  mutable on_tx_done : unit -> unit; (* the [Fault_pass] transmit-done action *)
+  mutable on_arrive : unit -> unit; (* delivers the head of [in_flight] *)
   mutable up : bool;
   mutable poll : Sim.handle option;
   mutable limiter : (Wire.Packet.t -> bool) option;
@@ -130,39 +139,6 @@ let node_name node = node.name
 let node_addr node = node.addr
 let node_id node = node.id
 
-let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
-  if bandwidth_bps <= 0. then invalid_arg "Net.link_oneway: bandwidth must be positive";
-  if delay < 0. then invalid_arg "Net.link_oneway: delay must be nonnegative";
-  let link =
-    {
-      lid = t.next_link_id;
-      src;
-      dst;
-      bandwidth = bandwidth_bps;
-      delay;
-      qdisc;
-      lsim = src.nsim;
-      xmail = None;
-      busy = false;
-      up = true;
-      poll = None;
-      limiter = None;
-      fault = None;
-      tx_packets = 0;
-      tx_bytes = 0;
-    }
-  in
-  t.next_link_id <- t.next_link_id + 1;
-  t.link_list <- link :: t.link_list;
-  src.out_links <- link :: src.out_links;
-  dst.in_links <- link :: dst.in_links;
-  link
-
-let duplex t a b ~bandwidth_bps ~delay ~qdisc =
-  let ab = link_oneway t ~src:a ~dst:b ~bandwidth_bps ~delay ~qdisc:(qdisc ()) in
-  let ba = link_oneway t ~src:b ~dst:a ~bandwidth_bps ~delay ~qdisc:(qdisc ()) in
-  (ab, ba)
-
 (* When a qdisc reports [next_ready] at (or before) the current instant but
    still refuses to dequeue — a token bucket whose accumulated tokens round
    to just under one packet, say — re-polling at the same virtual time would
@@ -179,7 +155,14 @@ let min_poll_delay = 1e-6
    has been dequeued and charged serialization time (a lost or duplicated
    packet still occupied the wire).  When [fault = None] the match reduces
    to the pass branch, which is the exact pre-fault code path — figure
-   output with no injector installed is byte-identical. *)
+   output with no injector installed is byte-identical.
+
+   The pass branch allocates no closure: the packet waits in [tx_pkt],
+   then in [in_flight], and the link's prebuilt [on_tx_done]/[on_arrive]
+   actions pick it up.  The rare fault branches and cut links carry the
+   packet in a thunk instead.  Trace events are built only when a hook is
+   set. *)
+
 (* Hand a propagation-done action to the destination side.  On a
    same-partition link this schedules on the (shared) simulator exactly as
    it always did; on a cut link the action rides the mailbox instead and is
@@ -191,6 +174,13 @@ let[@inline] propagate link ~extra thunk =
   | None -> ignore (Sim.schedule ~kind:Sim.Kind.net_deliver link.lsim ~delay:(link.delay +. extra) thunk)
   | Some mb -> Mailbox.push mb ~time:(Sim.now link.lsim +. link.delay +. extra) thunk
 
+let deliver link p =
+  let dst = link.dst in
+  (match dst.net.trace with None -> () | Some hook -> hook (Deliver (dst, p)));
+  dst.handler dst ~in_link:link.in_self p
+
+let arrive link = deliver link (Pktring.pop link.in_flight)
+
 let rec kick link =
   if (not link.busy) && link.up then begin
     let net = link.src.net in
@@ -198,7 +188,7 @@ let rec kick link =
     let time = Sim.now sim in
     (match link.poll with
     | Some h ->
-        Sim.cancel h;
+        Sim.cancel sim h;
         link.poll <- None
     | None -> ());
     let p = Qdisc.dequeue link.qdisc ~now:time in
@@ -206,17 +196,12 @@ let rec kick link =
         link.busy <- true;
         link.tx_packets <- link.tx_packets + 1;
         link.tx_bytes <- link.tx_bytes + Wire.Packet.size p;
-        emit net (Transmit (link, p));
+        (match net.trace with None -> () | Some hook -> hook (Transmit (link, p)));
         let tx_time = float_of_int (Wire.Packet.size p) *. 8. /. link.bandwidth in
         match (match link.fault with None -> Fault_pass | Some f -> f p) with
         | Fault_pass ->
-            ignore
-              (Sim.schedule ~kind:Sim.Kind.net_transmit sim ~delay:tx_time (fun () ->
-                   link.busy <- false;
-                   propagate link ~extra:0. (fun () ->
-                       emit net (Deliver (link.dst, p));
-                       link.dst.handler link.dst ~in_link:(Some link) p);
-                   kick link))
+            link.tx_pkt <- p;
+            ignore (Sim.schedule ~kind:Sim.Kind.net_transmit sim ~delay:tx_time link.on_tx_done)
         | Fault_lose ->
             emit net (Link_fault (link, p));
             ignore
@@ -230,10 +215,8 @@ let rec kick link =
               (Sim.schedule ~kind:Sim.Kind.net_transmit sim ~delay:tx_time (fun () ->
                    link.busy <- false;
                    propagate link ~extra:0. (fun () ->
-                       emit net (Deliver (link.dst, p));
-                       link.dst.handler link.dst ~in_link:(Some link) p;
-                       emit net (Deliver (link.dst, p2));
-                       link.dst.handler link.dst ~in_link:(Some link) p2);
+                       deliver link p;
+                       deliver link p2);
                    kick link))
         | Fault_delay extra ->
             emit net (Link_fault (link, p));
@@ -241,9 +224,7 @@ let rec kick link =
             ignore
               (Sim.schedule ~kind:Sim.Kind.net_transmit sim ~delay:tx_time (fun () ->
                    link.busy <- false;
-                   propagate link ~extra (fun () ->
-                       emit net (Deliver (link.dst, p));
-                       link.dst.handler link.dst ~in_link:(Some link) p);
+                   propagate link ~extra (fun () -> deliver link p);
                    kick link))
     end
     else begin
@@ -262,17 +243,71 @@ let rec kick link =
     end
   end
 
+(* The pass branch's transmit-done: the wire is free, the packet starts
+   propagating. *)
+and tx_done link =
+  let p = link.tx_pkt in
+  link.tx_pkt <- Pktring.nil;
+  link.busy <- false;
+  (match link.xmail with
+  | None ->
+      Pktring.push link.in_flight p;
+      ignore (Sim.schedule ~kind:Sim.Kind.net_deliver link.lsim ~delay:link.delay link.on_arrive)
+  | Some _ -> propagate link ~extra:0. (fun () -> deliver link p));
+  kick link
+
+let link_oneway t ~src ~dst ~bandwidth_bps ~delay ~qdisc =
+  if bandwidth_bps <= 0. then invalid_arg "Net.link_oneway: bandwidth must be positive";
+  if delay < 0. then invalid_arg "Net.link_oneway: delay must be nonnegative";
+  let link =
+    {
+      lid = t.next_link_id;
+      src;
+      dst;
+      bandwidth = bandwidth_bps;
+      delay;
+      qdisc;
+      lsim = src.nsim;
+      xmail = None;
+      busy = false;
+      tx_pkt = Pktring.nil;
+      in_flight = Pktring.create ();
+      in_self = None;
+      on_tx_done = ignore;
+      on_arrive = ignore;
+      up = true;
+      poll = None;
+      limiter = None;
+      fault = None;
+      tx_packets = 0;
+      tx_bytes = 0;
+    }
+  in
+  link.in_self <- Some link;
+  link.on_tx_done <- (fun () -> tx_done link);
+  link.on_arrive <- (fun () -> arrive link);
+  t.next_link_id <- t.next_link_id + 1;
+  t.link_list <- link :: t.link_list;
+  src.out_links <- link :: src.out_links;
+  dst.in_links <- link :: dst.in_links;
+  link
+
+let duplex t a b ~bandwidth_bps ~delay ~qdisc =
+  let ab = link_oneway t ~src:a ~dst:b ~bandwidth_bps ~delay ~qdisc:(qdisc ()) in
+  let ba = link_oneway t ~src:b ~dst:a ~bandwidth_bps ~delay ~qdisc:(qdisc ()) in
+  (ab, ba)
+
 let enqueue_on link p =
-  let net = link.src.net in
   let admitted = match link.limiter with None -> true | Some f -> f p in
-  if not admitted then begin
-    link.qdisc.Qdisc.stats.Qdisc.dropped <- link.qdisc.Qdisc.stats.Qdisc.dropped + 1;
-    link.qdisc.Qdisc.stats.Qdisc.bytes_dropped <-
-      link.qdisc.Qdisc.stats.Qdisc.bytes_dropped + Wire.Packet.size p;
-    emit net (Queue_drop (link, p))
+  if admitted && Qdisc.enqueue link.qdisc ~now:(Sim.now link.lsim) p then kick link
+  else begin
+    if not admitted then begin
+      link.qdisc.Qdisc.stats.Qdisc.dropped <- link.qdisc.Qdisc.stats.Qdisc.dropped + 1;
+      link.qdisc.Qdisc.stats.Qdisc.bytes_dropped <-
+        link.qdisc.Qdisc.stats.Qdisc.bytes_dropped + Wire.Packet.size p
+    end;
+    match link.src.net.trace with None -> () | Some hook -> hook (Queue_drop (link, p))
   end
-  else if Qdisc.enqueue link.qdisc ~now:(Sim.now link.lsim) p then kick link
-  else emit net (Queue_drop (link, p))
 
 let charge_hop node p =
   if p.Wire.Packet.hops <= 0 then begin
@@ -289,10 +324,12 @@ let forward_on node link p =
   if charge_hop node p then enqueue_on link p
 
 let route_for node addr =
-  match Wire.Addr.Tbl.find_opt node.net.by_addr addr with
-  | Some dst when dst.slot < Array.length node.routes ->
-      Array.unsafe_get node.routes dst.slot (* slot >= 0: addressed node *)
-  | Some _ | None -> None
+  match Wire.Addr.Tbl.find node.net.by_addr addr with
+  | dst ->
+      if dst.slot < Array.length node.routes then
+        Array.unsafe_get node.routes dst.slot (* slot >= 0: addressed node *)
+      else None
+  | exception Not_found -> None
 
 let forward node p =
   if charge_hop node p then begin
@@ -368,7 +405,7 @@ let link_set_up link v =
     else
       match link.poll with
       | Some h ->
-          Sim.cancel h;
+          Sim.cancel link.lsim h;
           link.poll <- None
       | None -> ()
   end

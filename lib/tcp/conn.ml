@@ -67,7 +67,7 @@ let cancel_timer c =
   match c.timer with
   | None -> ()
   | Some h ->
-      Sim.cancel h;
+      Sim.cancel c.sim h;
       c.timer <- None
 
 let finish c outcome =

@@ -308,13 +308,14 @@ let secret_high_bit_selects () =
      t=150 (epoch 1): the validator must pick the previous secret. *)
   let issue = Crypto.Secret.issuing_secret s ~now:100. in
   let ts = Crypto.Secret.timestamp ~now:100. in
-  (match Crypto.Secret.validating_secret s ~now:150. ~ts with
-  | Some key -> Alcotest.(check string) "previous secret selected" issue key
-  | None -> Alcotest.fail "no validating secret");
+  Alcotest.(check string) "previous secret selected" issue
+    (Crypto.Secret.validating_secret s ~now:150. ~ts);
   (* And at t=120 (same epoch) it picks the current secret. *)
-  match Crypto.Secret.validating_secret s ~now:120. ~ts with
-  | Some key -> Alcotest.(check string) "current secret selected" issue key
-  | None -> Alcotest.fail "no validating secret"
+  Alcotest.(check string) "current secret selected" issue
+    (Crypto.Secret.validating_secret s ~now:120. ~ts);
+  (* In epoch 0 a high-bit timestamp implies epoch -1: no secret. *)
+  Alcotest.(check bool) "no epoch before the first" true
+    (Crypto.Secret.validating_secret s ~now:10. ~ts:200 == Crypto.Secret.retired)
 
 let secret_expires_after_two_epochs () =
   let s = Crypto.Secret.create ~master:"m" in
@@ -322,9 +323,8 @@ let secret_expires_after_two_epochs () =
   let ts = Crypto.Secret.timestamp ~now:100. in
   (* Two epochs later the same parity maps to a *newer* secret, so the old
      one can never validate again. *)
-  match Crypto.Secret.validating_secret s ~now:(100. +. 256.) ~ts with
-  | Some key -> Alcotest.(check bool) "secret retired" false (String.equal issue key)
-  | None -> ()
+  let key = Crypto.Secret.validating_secret s ~now:(100. +. 256.) ~ts in
+  Alcotest.(check bool) "secret retired" false (String.equal issue key)
 
 let secret_timestamp_is_modulo_256 () =
   Alcotest.(check int) "ts at 300s" (300 mod 256) (Crypto.Secret.timestamp ~now:300.);
@@ -349,11 +349,10 @@ let secret_epoch_cache_is_transparent () =
         (Crypto.Secret.issuing_secret fresh ~now)
         (Crypto.Secret.issuing_secret cached ~now);
       let ts = Crypto.Secret.timestamp ~now in
-      let opt = function None -> "none" | Some s -> s in
       Alcotest.(check string)
         (Printf.sprintf "validating at t=%g" now)
-        (opt (Crypto.Secret.validating_secret fresh ~now ~ts))
-        (opt (Crypto.Secret.validating_secret cached ~now ~ts)))
+        (Crypto.Secret.validating_secret fresh ~now ~ts)
+        (Crypto.Secret.validating_secret cached ~now ~ts))
     times
 
 let suite =

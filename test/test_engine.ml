@@ -29,16 +29,16 @@ let cancelled_events_do_not_fire () =
   let sim = Sim.create () in
   let fired = ref false in
   let h = Sim.schedule_at sim ~time:1. (fun () -> fired := true) in
-  Sim.cancel h;
-  Alcotest.(check bool) "cancelled" true (Sim.cancelled h);
+  Sim.cancel sim h;
+  Alcotest.(check bool) "cancelled" true (Sim.cancelled sim h);
   Sim.run sim;
   Alcotest.(check bool) "did not fire" false !fired
 
 let cancel_is_idempotent () =
   let sim = Sim.create () in
   let h = Sim.schedule_at sim ~time:1. (fun () -> ()) in
-  Sim.cancel h;
-  Sim.cancel h;
+  Sim.cancel sim h;
+  Sim.cancel sim h;
   Alcotest.(check int) "pending" 0 (Sim.pending sim)
 
 let pending_counts_live_events () =
@@ -46,7 +46,7 @@ let pending_counts_live_events () =
   let h1 = Sim.schedule_at sim ~time:1. (fun () -> ()) in
   ignore (Sim.schedule_at sim ~time:2. (fun () -> ()));
   Alcotest.(check int) "two pending" 2 (Sim.pending sim);
-  Sim.cancel h1;
+  Sim.cancel sim h1;
   Alcotest.(check int) "one pending" 1 (Sim.pending sim);
   Sim.run sim;
   Alcotest.(check int) "none pending" 0 (Sim.pending sim)
@@ -150,7 +150,7 @@ let heap_order_under_random_schedule_cancel =
             | [] -> ()
             | handles ->
                 let i = Rng.int rng (List.length handles) in
-                Sim.cancel (List.nth handles i))
+                Sim.cancel sim (List.nth handles i))
         | _ -> ignore (Sim.step sim)
       done;
       Sim.run sim;
@@ -203,7 +203,7 @@ let run_script ~sched cmds =
           let h = Sim.schedule sim ~delay (fun () -> fired := (Sim.now sim, k) :: !fired) in
           handles := h :: !handles;
           incr n_handles
-      | Ccancel i -> if !n_handles > 0 then Sim.cancel (List.nth !handles (i mod !n_handles))
+      | Ccancel i -> if !n_handles > 0 then Sim.cancel sim (List.nth !handles (i mod !n_handles))
       | Cstep -> ignore (Sim.step sim)
       | Cuntil d -> Sim.run ~until:(Sim.now sim +. d) sim)
     cmds;
@@ -618,6 +618,198 @@ let aux_chain_observes_cut () =
   Sim.run sim;
   Alcotest.(check (list int)) "each tick sees pre-T state" [ 0; 1; 2; 3 ] (List.rev !seen)
 
+(* --- the slab: a reference model, stale handles, allocation --------------- *)
+
+(* Everything a caller can do to a simulator, as data.  Times are relative
+   to the clock when the op runs; [Cancel i] targets the i-th handle ever
+   issued (modulo the count), fired, cancelled and reused ones included. *)
+type op =
+  | Sched of float
+  | Aux of float
+  | Cancel of int
+  | Step
+  | Until of float
+  | Window of float * bool
+
+(* Every fourth event schedules a child when it fires, so slots are freed
+   and reused while handles to their previous events are still held. *)
+let child_delay id = if id mod 4 = 0 then Some (float_of_int (id mod 3) *. 0.25) else None
+
+let gen_op rng =
+  let delay () =
+    match Rng.int rng 5 with
+    | 0 -> float_of_int (Rng.int rng 8) (* whole seconds: heavy ties *)
+    | 1 -> float_of_int (Rng.int rng 1000) *. 1e-7 (* sub-tick offsets *)
+    | 2 -> Rng.float rng 3.
+    | 3 -> Rng.float rng 300. (* upper wheel levels *)
+    | _ -> if Rng.int rng 8 = 0 then 5000. +. Rng.float rng 9000. (* overflow *) else 0.
+  in
+  match Rng.int rng 16 with
+  | 0 | 1 | 2 | 3 | 4 | 5 -> Sched (delay ())
+  | 6 -> Aux (delay ())
+  | 7 | 8 | 9 -> Cancel (Rng.int rng 1_000_000)
+  | 10 | 11 | 12 -> Step
+  | 13 | 14 -> Until (Rng.float rng 4.)
+  | _ -> Window (Rng.float rng 4., Rng.int rng 2 = 0)
+
+(* The reference: a list of pending (time, seq, id), kept sorted. *)
+let run_model ops =
+  let clock = ref 0. and next_seq = ref 0 and aux_seq = ref (-1) and n = ref 0 in
+  let pending = ref [] and dead = Hashtbl.create 64 and fired = ref [] in
+  let add ~aux d =
+    let time = !clock +. d in
+    let seq =
+      if aux then (decr aux_seq; !aux_seq + 1) else (incr next_seq; !next_seq - 1)
+    in
+    pending := List.merge compare [ (time, seq, !n) ] !pending;
+    incr n
+  in
+  let fire_head () =
+    match !pending with
+    | (time, _, id) :: rest ->
+        pending := rest;
+        clock := time;
+        Hashtbl.replace dead id ();
+        fired := (time, id) :: !fired;
+        Option.iter (add ~aux:false) (child_delay id)
+    | [] -> ()
+  in
+  let run_upto ~inclusive upto =
+    let continue = ref true in
+    while !continue do
+      match !pending with
+      | [] -> continue := false
+      | (time, _, _) :: _ ->
+          if (if inclusive then time > upto else time >= upto) then begin
+            clock := upto;
+            continue := false
+          end
+          else fire_head ()
+    done
+  in
+  List.iter
+    (function
+      | Sched d -> add ~aux:false d
+      | Aux d -> add ~aux:true d
+      | Cancel i ->
+          if !n > 0 then begin
+            let id = i mod !n in
+            if not (Hashtbl.mem dead id) then begin
+              Hashtbl.replace dead id ();
+              pending := List.filter (fun (_, _, j) -> j <> id) !pending
+            end
+          end
+      | Step -> fire_head ()
+      | Until d -> run_upto ~inclusive:true (!clock +. d)
+      | Window (d, inclusive) -> run_upto ~inclusive (!clock +. d))
+    ops;
+  let dead_ids = List.init !n (Hashtbl.mem dead) in
+  let mid = (List.rev !fired, !clock, List.length !pending, dead_ids) in
+  run_upto ~inclusive:true infinity;
+  (mid, (List.rev !fired, !clock))
+
+let run_sim ~sched ops =
+  let sim = Sim.create ~sched () in
+  let fired = ref [] and handles = Hashtbl.create 64 and n = ref 0 in
+  let rec add ~aux d =
+    let id = !n in
+    incr n;
+    let action () =
+      fired := (Sim.now sim, id) :: !fired;
+      Option.iter (add ~aux:false) (child_delay id)
+    in
+    let h =
+      if aux then Sim.schedule_aux sim ~time:(Sim.now sim +. d) action
+      else Sim.schedule sim ~delay:d action
+    in
+    Hashtbl.replace handles id h
+  in
+  List.iter
+    (function
+      | Sched d -> add ~aux:false d
+      | Aux d -> add ~aux:true d
+      | Cancel i -> if !n > 0 then Sim.cancel sim (Hashtbl.find handles (i mod !n))
+      | Step -> ignore (Sim.step sim)
+      | Until d -> Sim.run ~until:(Sim.now sim +. d) sim
+      | Window (d, inclusive) -> Sim.run_window ~inclusive sim ~upto:(Sim.now sim +. d))
+    ops;
+  let dead_ids = List.init !n (fun id -> Sim.cancelled sim (Hashtbl.find handles id)) in
+  let mid = (List.rev !fired, Sim.now sim, Sim.pending sim, dead_ids) in
+  Sim.run sim;
+  (mid, (List.rev !fired, Sim.now sim))
+
+let slab_matches_reference_model =
+  QCheck.Test.make ~name:"sim: heap and wheel match a sorted-list model" ~count:30
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create ~seed:(seed + 301) in
+      let ops = List.init 1500 (fun _ -> gen_op rng) in
+      let expect = run_model ops in
+      run_sim ~sched:Sim.Heap ops = expect && run_sim ~sched:Sim.Wheel ops = expect)
+
+(* A handle outlives its event: cancelling it after the event fired, or
+   after its slot went to a new event, must not touch the new event. *)
+let stale_handles_are_inert () =
+  List.iter
+    (fun sched ->
+      let name what = Sim.sched_to_string sched ^ ": " ^ what in
+      let sim = Sim.create ~sched () in
+      let log = ref [] in
+      let note k () = log := k :: !log in
+      let a = Sim.schedule sim ~delay:1. (note 1) in
+      Sim.run sim;
+      Alcotest.(check bool) (name "fired counts as cancelled") true (Sim.cancelled sim a);
+      Sim.cancel sim a;
+      Alcotest.(check int) (name "cancel after fire is a no-op") 0 (Sim.pending sim);
+      (* The freed slot is the next one handed out. *)
+      let b = Sim.schedule sim ~delay:1. (note 2) in
+      Alcotest.(check int) (name "slot reused")
+        ((a :> int) land 0xffff_ffff) ((b :> int) land 0xffff_ffff);
+      Sim.cancel sim a;
+      Alcotest.(check bool) (name "stale cancel spares the new event") false (Sim.cancelled sim b);
+      Alcotest.(check int) (name "still pending") 1 (Sim.pending sim);
+      (* A cancelled event keeps its slot until popped; once popped and
+         reused, its handle is stale too. *)
+      let c = Sim.schedule sim ~delay:0.5 (note 3) in
+      Sim.cancel sim c;
+      Sim.cancel sim c;
+      Alcotest.(check int) (name "double cancel counts once") 1 (Sim.pending sim);
+      Sim.run sim;
+      let d = Sim.schedule sim ~delay:1. (note 4) in
+      Sim.cancel sim c;
+      Sim.cancel sim b;
+      Alcotest.(check bool) (name "cancelled stays cancelled") true (Sim.cancelled sim c);
+      Alcotest.(check bool) (name "reuse of a cancelled slot is live") false (Sim.cancelled sim d);
+      Sim.run sim;
+      Alcotest.(check (list int)) (name "fired") [ 1; 2; 4 ] (List.rev !log))
+    [ Sim.Heap; Sim.Wheel ]
+
+(* Scheduling and firing allocate no event record, option or key box: what
+   is left per event is the boxed [~delay] argument and the clock's box.
+   Measured 2026-10-18 on this loop: 4.0 words per event on either queue,
+   against 12.0 (heap) and 13.7 (wheel) when every event was a record. *)
+let schedule_fire_allocation_budget () =
+  let budget = 6. in
+  List.iter
+    (fun sched ->
+      let sim = Sim.create ~sched () in
+      let action () = () in
+      let n = 10_000 in
+      let round () =
+        for i = 1 to n do
+          ignore (Sim.schedule sim ~delay:(float_of_int (i land 1023) *. 1e-3) action)
+        done;
+        Sim.run sim
+      in
+      round ();
+      Gc.full_major ();
+      let words0 = Gc.minor_words () in
+      round ();
+      let per_event = (Gc.minor_words () -. words0) /. float_of_int n in
+      if per_event > budget then
+        Alcotest.failf "%s: schedule + fire allocates %.2f minor words (budget %g)"
+          (Sim.sched_to_string sched) per_event budget)
+    [ Sim.Heap; Sim.Wheel ]
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick events_fire_in_time_order;
@@ -649,6 +841,9 @@ let suite =
       aux_fires_first_and_does_not_perturb;
     Alcotest.test_case "aux chain observes cut" `Quick aux_chain_observes_cut;
     Alcotest.test_case "sched selection" `Quick sched_of_string_roundtrip;
+    QCheck_alcotest.to_alcotest slab_matches_reference_model;
+    Alcotest.test_case "stale handles are inert" `Quick stale_handles_are_inert;
+    Alcotest.test_case "schedule+fire allocation" `Quick schedule_fire_allocation_budget;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick rng_seeds_differ;
     Alcotest.test_case "rng split" `Quick rng_split_independent;

@@ -118,11 +118,12 @@ let router_id_must_fit () =
 
 (* Minting and validating a token hash a packed preimage under key words
    loaded once per epoch key; per pair they allocate the token, its boxed
-   MAC, the secret's [Some] and the boxed SipHash arguments and results.
-   Measured 2026-10-17: 33.0 words per mint + validate pair, against
-   1389 for the ["nf|%d|%d|%d|%d"] string preimage this replaced. *)
+   MAC and the boxed SipHash arguments and results.  Measured 2026-10-18:
+   31.0 words per mint + validate pair (33.0 while the validating secret
+   came back in a [Some]), against 1389 for the ["nf|%d|%d|%d|%d"] string
+   preimage this replaced. *)
 let mint_validate_allocation_budget () =
-  let budget = 64. in
+  let budget = 40. in
   let _sim, r = make_router () in
   let one i =
     let src = Wire.Addr.of_int (0x0a000000 + (i land 0xffff)) in
